@@ -13,11 +13,12 @@ performance PR. Run from the repo root:
 
 ``--out DIR`` writes elsewhere (the CI golden-freshness job regenerates
 into a temp dir and diffs against ``tests/golden/`` so stale pins cannot
-merge silently). The specs here leave ``kernel="auto"``, so
-``REPRO_KERNEL=specialized`` (or ``=batch``) regenerates the whole grid
-through an alternative replay kernel — CI's golden-freshness matrix
-uses exactly that to pin every kernel byte-identical, and
-``REPRO_NO_SPECIALIZE=1`` covers the escape hatch.
+merge silently). The specs here leave ``kernel="auto"`` (the native
+kernel where eligible), so ``REPRO_KERNEL=inline`` or
+``REPRO_KERNEL=specialized`` regenerates the whole grid through an
+alternative replay kernel — CI's golden-freshness matrix uses exactly
+that to pin every kernel byte-identical, and ``REPRO_NO_SPECIALIZE=1``
+covers the escape hatch.
 """
 
 from __future__ import annotations

@@ -40,6 +40,7 @@ from repro.errors import ConfigurationError  # noqa: E402
 from repro.params import ScalePreset  # noqa: E402
 from repro.sched import policy_names  # noqa: E402
 from repro.sim.engine import (  # noqa: E402
+    KERNELS,
     VARIANTS,
     ReplayEngine,
     SimConfig,
@@ -119,15 +120,15 @@ def bench(
 ) -> dict:
     """Measure every variant; returns the result document.
 
-    ``kernel`` forces a replay kernel (``batch``/``specialized``/
+    ``kernel`` forces a replay kernel (``native``/``specialized``/
     ``inline``/``fallback``); the default ``auto`` is the engine's own
     selection. ``profile`` additionally cProfiles one (untimed) run per
     variant and records the top-15 cumulative hotspots.
     Each measurement row records the kernel the engine actually ran
     (``auto`` resolves per config), so baselines pin *which* code path
     their numbers describe and a regression can be blamed on the right
-    kernel. Variants a forced kernel cannot run (e.g. ``batch`` with
-    nextline's prefetcher) are reported as skipped rather than failing
+    kernel. Variants a forced kernel cannot run (e.g. ``native`` with
+    slicc's migrations) are reported as skipped rather than failing
     the whole sweep.
     """
     trace = standard_trace(workload, scale, seed=seed)
@@ -265,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--kernel",
         default="auto",
-        choices=["auto", "batch", "specialized", "inline", "fallback"],
+        choices=list(KERNELS),
         help="force a replay kernel; auto is the engine's own selection "
         "(the kernel actually used is recorded per measurement)",
     )

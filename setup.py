@@ -20,4 +20,6 @@ setup(
     extras_require={"dev": ["pytest", "pytest-benchmark", "hypothesis"]},
     package_dir={"": "src"},
     packages=find_packages(where="src"),
+    # The native replay kernel is compiled from source on first use.
+    package_data={"repro.sim": ["_native.c"]},
 )

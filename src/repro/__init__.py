@@ -10,8 +10,9 @@ Moshovos, MICRO 2012. The public API in one import:
 >>> sw.speedup_over(base) > 0
 True
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every figure and table.
+See README.md for the system inventory and for ``repro paper``, which
+regenerates every figure and table, and DESIGN.md for the design notes
+and the modelling substitutions.
 """
 
 from repro.exp import (

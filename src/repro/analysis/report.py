@@ -1,8 +1,8 @@
 """Plain-text table formatting for benchmark reports.
 
 Every benchmark prints the rows/series the corresponding paper figure or
-table reports; these helpers keep the output format uniform so
-EXPERIMENTS.md can quote it directly.
+table reports; these helpers keep the output format uniform so reports
+and documentation can quote it directly.
 """
 
 from __future__ import annotations

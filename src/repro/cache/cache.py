@@ -177,43 +177,6 @@ class SetAssociativeCache:
         return True
 
     # ------------------------------------------------------------------
-    # Batch-kernel entry points
-    # ------------------------------------------------------------------
-
-    def batch_export(self, width: Optional[int] = None):
-        """Export contents as ``(tags_matrix, occupancy)`` for the batch
-        replay kernel (:mod:`repro.sim.batch`).
-
-        ``tags_matrix`` is an ``(n_sets, width)`` int64 numpy array with
-        ``-1`` marking empty ways *and* the padding columns beyond
-        :attr:`assoc` when ``width > assoc`` (the kernel pads both L1s of
-        a core to a common way count so their rows stack into one
-        matrix). ``occupancy`` is a per-set list of resident-line counts.
-        The export is a snapshot — mutating it does not touch the cache.
-        """
-        import numpy as np
-
-        width = self.assoc if width is None else width
-        if width < self.assoc:
-            raise ValueError("width must be >= assoc")
-        tags = np.full((self.n_sets, width), -1, dtype=np.int64)
-        for set_idx, row in enumerate(self._tags):
-            for way, tag in enumerate(row):
-                if tag is not None:
-                    tags[set_idx, way] = tag
-        occupancy = [len(index) for index in self._index]
-        return tags, occupancy
-
-    def probe_batch(self, blocks) -> "list[bool]":
-        """Vectorised residency probe: one bool per block id.
-
-        Purely observational (no LRU update, no stats) — the batched
-        counterpart of :meth:`probe`, used to cross-check the batch
-        kernel's tag mirror against the authoritative python state.
-        """
-        return [block in self._index[block & self._set_mask] for block in blocks]
-
-    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 

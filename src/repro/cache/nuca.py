@@ -2,7 +2,7 @@
 
 The engine's default L2 model is "effectively infinite" — correct for
 every experiment in the paper because the measured footprints never
-approach 16MB (DESIGN.md §3). ``NucaL2`` is the optional higher-fidelity
+approach 16MB (DESIGN.md, "Modelling substitutions"). ``NucaL2`` is the optional higher-fidelity
 substrate: a banked shared cache where a request from core *c* to bank
 *b* pays the base hit latency plus the torus round-trip, so L1 misses to
 distant banks cost more — the non-uniformity that gives NUCA its name.

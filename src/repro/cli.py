@@ -608,20 +608,15 @@ def _kernel_rows(engine) -> list[list[str]]:
     constructed engine (inline/fallback are always available)."""
     import os
 
-    from repro.sim.batch import numpy_available
+    from repro.sim import native
 
     rows = [
         ["inline", "ok (always available)"],
         ["fallback", "ok (always available)"],
     ]
-    if os.environ.get("REPRO_NO_BATCH"):
-        batch = "vetoed (REPRO_NO_BATCH is set)"
-    elif not numpy_available():
-        batch = "unavailable (numpy missing)"
-    else:
-        blockers = engine._batch_blockers()
-        batch = "ineligible: " + "; ".join(blockers) if blockers else "ok"
-    rows.append(["batch", batch])
+    blockers = native.blockers(engine.config)
+    eligible = "ineligible: " + "; ".join(blockers) if blockers else "ok"
+    rows.append(["native", f"{eligible} [{native.status()}]"])
     if os.environ.get("REPRO_NO_SPECIALIZE"):
         spec = "vetoed (REPRO_NO_SPECIALIZE is set)"
     else:
@@ -974,9 +969,10 @@ def build_parser() -> argparse.ArgumentParser:
         "eligibility/blockers",
         description="For a registered variant name or an exp spec file, "
         "print which replay kernel kernel='auto' resolves to (honouring "
-        "REPRO_KERNEL / REPRO_NO_BATCH / REPRO_NO_SPECIALIZE) and, for "
-        "each selectable kernel, whether an explicit request would be "
-        "honoured or why it would raise.",
+        "REPRO_KERNEL / REPRO_NO_SPECIALIZE) and, for each selectable "
+        "kernel, whether an explicit request would be honoured or why it "
+        "would raise; the native row also shows the C library's build "
+        "status (cached artifact path, or the compiler error).",
     )
     k_explain.add_argument(
         "spec",

@@ -229,7 +229,7 @@ class TeamScheduler:
             # that never migrate — e.g. MapReduce, whose footprint fits in
             # one L1-I — so we spread at injection and let segment-match
             # migrations pull threads together. Deviation documented in
-            # DESIGN.md/EXPERIMENTS.md.)
+            # DESIGN.md, "Modelling substitutions".)
             idle_in_team = [c for c in cores if c in idle]
             spread = idle_in_team if idle_in_team else list(cores)
             for slot, w in enumerate(members):

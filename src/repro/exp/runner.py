@@ -41,7 +41,6 @@ from repro.exp.pool import FaultTolerantPool, SpecOutcome, _backoff_delay
 from repro.exp.spec import ExperimentSpec, trace_fingerprint
 from repro.exp.store import ResultStore, result_from_dict, result_to_dict
 from repro.params import ScalePreset
-from repro.sched import get_policy
 from repro.sim.engine import simulate
 from repro.sim.results import SimulationResult
 from repro.workloads import standard_trace
@@ -324,14 +323,12 @@ class Runner:
             for trace in explicit.values():
                 for thread in trace.threads:
                     thread.replay_tables(PAGE_SHIFT)
-            # Same zero-copy treatment for the batch kernel's SoA
-            # arrays: any spec that opts into kernel="batch" gets its
-            # trace's arrays built once in the parent, for each distinct
-            # cache geometry the pending specs imply (PIF overrides the
-            # L1-I), instead of once per worker. Geometry mirrors
-            # BatchKernel.__init__; ThreadTrace.batch_tables memoises
-            # per geometry and drops the arrays from pickles.
-            self._materialise_batch_tables(pending, explicit)
+            # Build/load the native kernel library once in the parent
+            # so forked workers inherit the loaded library instead of
+            # each loading (or, on a cold cache, compiling) it.
+            from repro.sim import native
+
+            native.preload(spec.config for spec in pending)
             # And for the specialized kernel: generate + compile each
             # distinct per-config kernel once in the parent so workers
             # inherit the populated memo (specialize._KERNEL_CACHE)
@@ -400,53 +397,6 @@ class Runner:
                     break
         finally:
             _EXPLICIT = previous
-
-    @staticmethod
-    def _materialise_batch_tables(
-        pending: list[ExperimentSpec], explicit: dict[str, Trace]
-    ) -> None:
-        """Pre-fork build of the batch kernel's SoA arrays.
-
-        For every pending spec that opts into ``kernel="batch"``, build
-        its trace's structure-of-arrays tables in the parent for the
-        cache geometry that spec implies, so forked workers inherit the
-        arrays zero-copy instead of rebuilding them per process.
-        ``ThreadTrace.batch_tables`` memoises one geometry per thread
-        (the overwhelmingly common case — geometry only varies across
-        specs when PIF's L1-I override is mixed with standard ones), so
-        specs are visited in order and the last geometry per trace wins;
-        workers rebuild any other geometry on first use, exactly as they
-        would have without this pre-pass.
-        """
-        import os
-
-        batch_specs = [s for s in pending if s.config.kernel == "batch"]
-        if not batch_specs:
-            return
-        from repro.sim.batch import numpy_available
-
-        if not numpy_available() or os.environ.get("REPRO_NO_BATCH"):
-            # The runs themselves will raise; nothing useful to share.
-            return
-        from repro.sim.tlb import PAGE_SHIFT
-
-        for spec in batch_specs:
-            trace = explicit.get(spec.trace_key())
-            if trace is None:
-                continue
-            system = spec.config.system
-            i_params = get_policy(spec.variant).l1i_params(system)
-            if i_params is None:
-                i_params = system.l1i
-            d_params = system.l1d
-            geometry = (
-                PAGE_SHIFT,
-                i_params.n_sets,
-                d_params.n_sets,
-                max(i_params.assoc, d_params.assoc),
-            )
-            for thread in trace.threads:
-                thread.batch_tables(*geometry)
 
     @staticmethod
     def _materialise_specialized_kernels(

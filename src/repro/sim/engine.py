@@ -26,7 +26,8 @@ queue; an event heap always advances the core that is earliest in time,
 running its current thread for up to ``quantum`` records before
 rescheduling. This quantum interleaving approximates the concurrency of
 the paper's cycle-accurate Zesto runs while staying fast enough for
-parameter sweeps (DESIGN.md section 3 discusses the substitution).
+parameter sweeps (DESIGN.md, "Modelling substitutions", discusses the
+substitution).
 
 A thread runs on exactly one core at a time. Migration enqueues the
 thread at the target core and charges it the Thread-Motion-style context
@@ -98,6 +99,9 @@ _MC_COMPULSORY = MissClass.COMPULSORY
 _MC_CAPACITY = MissClass.CAPACITY
 _MC_CONFLICT = MissClass.CONFLICT
 
+#: Valid ``SimConfig.kernel`` (and ``REPRO_KERNEL``) values.
+KERNELS = ("auto", "native", "specialized", "inline", "fallback")
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -138,14 +142,12 @@ class SimConfig:
     #: changes results when a workload's footprint pressures 16MB.
     model_l2_capacity: bool = False
     #: Replay kernel selection. ``"auto"`` (the default) resolves to the
-    #: pure-python inline loop — on the paper's thrash-regime traces the
-    #: vectorised batch kernel measures *slower* than the inline loop at
-    #: the 50-record quantum (35-99.9% i-miss rates leave no hit bulk to
-    #: vectorise; see the honest-result note in ``sim/batch.py``), so
-    #: auto never silently regresses a run. ``"batch"`` opts into the
-    #: batch kernel explicitly (raising on an ineligible config — see
-    #: :meth:`ReplayEngine._batch_blockers` — or when numpy is missing
-    #: or ``REPRO_NO_BATCH=1`` is set); ``"specialized"`` opts into the
+    #: native C kernel (``sim/native.py``) for the configurations it
+    #: covers — the non-migrating policies with LRU L1s, see
+    #: :func:`repro.sim.native.blockers` — when the library builds, and
+    #: to the pure-python inline loop otherwise. ``"native"`` requests
+    #: the C kernel explicitly (raising on an ineligible config or when
+    #: the library cannot be built); ``"specialized"`` opts into the
     #: per-config generated kernel (``sim/specialize.py``; raising on an
     #: ineligible config — see :meth:`ReplayEngine._specialize_blockers`
     #: — or when ``REPRO_NO_SPECIALIZE=1`` is set); ``"inline"`` forces
@@ -164,12 +166,10 @@ class SimConfig:
             )
         if self.quantum <= 0:
             raise ConfigurationError("quantum must be positive")
-        if self.kernel not in (
-            "auto", "batch", "specialized", "inline", "fallback"
-        ):
+        if self.kernel not in KERNELS:
             raise ConfigurationError(
                 f"unknown kernel {self.kernel!r}; "
-                "expected auto, batch, specialized, inline or fallback"
+                f"expected one of {', '.join(KERNELS)}"
             )
 
 
@@ -182,7 +182,8 @@ class _ThreadState:
     Python list yields cached small ints where indexing a numpy array
     allocates a numpy scalar that must then be unboxed — a large
     per-record cost in the replay loop — and the tables are shared
-    read-only across every simulation of the same trace.
+    read-only across every simulation of the same trace. The native
+    kernel reads the trace arrays directly and leaves them unbound.
     """
 
     __slots__ = ("trace", "pos", "pending_cycles", "done", "addr", "kind", "page")
@@ -489,53 +490,22 @@ class ReplayEngine:
         )
         self._policy_quantum_hook = policy.quantum_hook
 
-        # Kernel selection (PR 6): batch (vectorised quantum passes) vs
-        # inline (the PR 2/3 per-record loop) vs fallback (the generic
-        # reference methods). All three are byte-identical — the golden
-        # suite pins it; the choice is pure performance.
+        # Kernel selection: native (C quanta, sim/native.py) vs
+        # specialized (generated per-config loop) vs inline (the
+        # handwritten per-record loop) vs fallback (the generic
+        # reference methods).
+        # All are byte-identical — the golden suite pins it; the choice
+        # is pure performance.
+        self._native_lib = None
         self.kernel = self._select_kernel()
-        self._batch = None
         self._specialized = None
-        if self.kernel == "batch":
-            from repro.sim.batch import BatchKernel
-
-            self._batch = BatchKernel(self)
-        elif self.kernel == "specialized":
+        if self.kernel == "specialized":
             from repro.sim.specialize import kernel_for_engine
 
             self._specialized = kernel_for_engine(self)
         elif self.kernel == "fallback":
             self._fast_i = False
             self._fast_d = False
-
-    def _batch_blockers(self) -> list[str]:
-        """Why this configuration cannot use the batch kernel (empty
-        when eligible).
-
-        The batch kernel mirrors exactly the machinery of the standard
-        fast path — LRU L1s, TLBs, bloom signatures, the coherence
-        directory and the SLICC/STEPS trackers. Features with their own
-        per-record inline state stay on the inline loop, as does any
-        policy that clears the ``batch_kernel_safe`` capability flag.
-        """
-        reasons = []
-        if not self.policy.batch_kernel_safe:
-            reasons.append(
-                f"policy {self.policy.name!r} clears batch_kernel_safe"
-            )
-        if self.prefetchers is not None:
-            reasons.append("next-line prefetcher")
-        if self.i_classifiers is not None:
-            reasons.append("miss classifiers")
-        if self.machine.nuca is not None:
-            reasons.append("banked NUCA L2")
-        if self.data_prefetcher is not None:
-            reasons.append("migration data prefetcher")
-        if self.machine.l1i[0].policy.__class__ is not LruPolicy:
-            reasons.append("non-LRU L1-I policy")
-        if self.machine.l1d[0].policy.__class__ is not LruPolicy:
-            reasons.append("non-LRU L1-D policy")
-        return reasons
 
     def _specialize_blockers(self) -> list[str]:
         """Why this configuration cannot use the specialized kernel
@@ -544,10 +514,10 @@ class ReplayEngine:
         The generator (``repro.sim.specialize``) emits the inline loop
         with only the age-counter LRU replacement arms — prefetchers,
         classifiers, the banked NUCA L2 and the data prefetcher are all
-        generatable, so unlike the batch kernel none of them block. A
-        policy that clears the ``specialize_safe`` capability flag stays
-        on the inline loop (its hooks may violate the generated tail's
-        folded assumptions — see ``sched/base.py``).
+        generatable, so none of them block. A policy that clears the
+        ``specialize_safe`` capability flag stays on the inline loop (its
+        hooks may violate the generated tail's folded assumptions — see
+        ``sched/base.py``).
         """
         reasons = []
         if not self.policy.specialize_safe:
@@ -560,39 +530,50 @@ class ReplayEngine:
             reasons.append("non-LRU L1-D policy")
         return reasons
 
+    def _native_unavailable(self) -> Optional[str]:
+        """Why this run cannot use the native kernel (None when it can).
+
+        Checks the configuration first (:func:`repro.sim.native.blockers`)
+        and only then builds/loads the library, so ineligible configs
+        never pay for a compile.
+        """
+        from repro.sim import native
+
+        blockers = native.blockers(self.config)
+        if blockers:
+            return "the configuration is ineligible: " + "; ".join(blockers)
+        self._native_lib = native.load()
+        if self._native_lib is None:
+            return native.status()
+        return None
+
     def _select_kernel(self) -> str:
         """Resolve ``config.kernel`` to the kernel this run will use.
 
-        ``auto`` resolves to ``inline``: both alternative kernels are
-        explicit opt-ins because neither beats the inline loop on the
-        paper's thrash-regime traces (batch *loses* — the measured
-        negative result in ``sim/batch.py``; specialized is a modest
-        win that stays under the roadmap bar — see ``sim/specialize.py``
-        and BENCH_10.json). ``REPRO_KERNEL=<name>`` re-resolves ``auto``
+        ``auto`` resolves to ``native`` when the configuration is
+        eligible and the library builds, else to ``inline`` (the
+        specialized kernel is an explicit opt-in: a modest win that
+        stays under the roadmap bar — see ``sim/specialize.py`` and
+        BENCH_10.json). ``REPRO_KERNEL=<name>`` re-resolves ``auto``
         fleet-wide (CI runs the golden suite this way), falling back
         *silently* to inline when the named kernel cannot run this
         config — a fleet override must not break ineligible configs. An
-        explicit per-config ``batch``/``specialized`` request, by
-        contrast, is validated loudly: ineligible configuration, missing
-        numpy or a ``REPRO_NO_BATCH=1`` / ``REPRO_NO_SPECIALIZE=1`` veto
-        each raise rather than silently running a different kernel than
-        the caller asked for.
+        explicit per-config ``native``/``specialized`` request, by
+        contrast, is validated loudly: an ineligible configuration, an
+        unbuildable library or a ``REPRO_NO_SPECIALIZE=1`` veto each
+        raise rather than silently running a different kernel than the
+        caller asked for.
         """
         requested = self.config.kernel
         if requested == "auto":
-            env = os.environ.get("REPRO_KERNEL", "").strip()
-            if not env or env == "auto":
-                return "inline"
-            if env == "batch":
-                from repro.sim.batch import numpy_available
-
-                if (
-                    os.environ.get("REPRO_NO_BATCH")
-                    or not numpy_available()
-                    or self._batch_blockers()
-                ):
-                    return "inline"
-                return "batch"
+            env = os.environ.get("REPRO_KERNEL", "").strip() or "auto"
+            if env not in KERNELS:
+                raise ConfigurationError(
+                    f"unknown REPRO_KERNEL {env!r}; "
+                    f"expected one of {', '.join(KERNELS)}"
+                )
+            if env in ("auto", "native"):
+                return "inline" if self._native_unavailable() else "native"
             if env == "specialized":
                 if (
                     os.environ.get("REPRO_NO_SPECIALIZE")
@@ -600,14 +581,14 @@ class ReplayEngine:
                 ):
                     return "inline"
                 return "specialized"
-            if env in ("inline", "fallback"):
-                return env
-            raise ConfigurationError(
-                f"unknown REPRO_KERNEL {env!r}; "
-                "expected auto, batch, specialized, inline or fallback"
-            )
-        if requested in ("fallback", "inline"):
-            return requested
+            return env
+        if requested == "native":
+            reason = self._native_unavailable()
+            if reason:
+                raise ConfigurationError(
+                    f"kernel='native' requested but {reason}"
+                )
+            return "native"
         if requested == "specialized":
             if os.environ.get("REPRO_NO_SPECIALIZE"):
                 raise ConfigurationError(
@@ -621,23 +602,7 @@ class ReplayEngine:
                     "is ineligible: " + "; ".join(blockers)
                 )
             return "specialized"
-        from repro.sim.batch import numpy_available
-
-        if os.environ.get("REPRO_NO_BATCH"):
-            raise ConfigurationError(
-                "kernel='batch' requested but REPRO_NO_BATCH is set"
-            )
-        if not numpy_available():
-            raise ConfigurationError(
-                "kernel='batch' requested but numpy is unavailable"
-            )
-        blockers = self._batch_blockers()
-        if blockers:
-            raise ConfigurationError(
-                "kernel='batch' requested but the configuration is "
-                "ineligible: " + "; ".join(blockers)
-            )
-        return "batch"
+        return requested
 
     def _build_core_hot(self, core: int) -> "_CoreHot":
         machine = self.machine
@@ -897,7 +862,7 @@ class ReplayEngine:
             self._arrival_ptr += 1
             self._resident += 1
             state = self.threads[thread_id]
-            if state.addr is None:
+            if state.addr is None and self.kernel != "native":
                 # Bind the shared numpy -> list tables (see _ThreadState).
                 state.addr, state.kind, state.page = (
                     state.trace.replay_tables(PAGE_SHIFT)
@@ -1162,9 +1127,17 @@ class ReplayEngine:
         policy_quantum_end = self.policy.quantum_end
         KI = KIND_INSTR
         KS = KIND_STORE
-        batch_dispatch = (
-            self._batch.dispatch if self._batch is not None else None
-        )
+        native_run = native_dispatch = None
+        if self.kernel == "native":
+            # Native kernel (sim/native.py): C owns the machine state
+            # from here to the export below; each dispatch replays one
+            # quantum in C and only the scheduling around it runs here.
+            from repro.sim.native import NativeRun
+
+            native_run = NativeRun(self, self._native_lib)
+            native_dispatch = native_run.dispatch
+            native_ctx = native_run.ctx
+            native_lengths = native_run.lengths
         heappop = heapq.heappop
         heap = self._heap
         in_heap = self._in_heap
@@ -1207,7 +1180,8 @@ class ReplayEngine:
                     # overwrite a chunk other threads still use, so this
                     # engine resets the MC on *idle-rung migrations* and
                     # STAY decisions instead — same adaptivity, without
-                    # sacrificing assembled segments (see DESIGN.md).
+                    # sacrificing assembled segments (see DESIGN.md,
+                    # "Modelling substitutions").
                     self._rebalance(clock)
                     if not self.queues.is_empty(core):
                         self._activate(core, clock)
@@ -1226,22 +1200,21 @@ class ReplayEngine:
             thread_id = running[core]
             state = threads[thread_id]
 
-            if batch_dispatch is not None:
-                # Batch kernel (PR 6): the whole quantum runs as
-                # vectorised passes in repro.sim.batch; only the
-                # scheduling tail below is shared with the inline path.
-                migrated = batch_dispatch(core, thread_id, state)
-                if migrated:
-                    if self._pending_target == -1:
-                        self._steps_switch(core)
-                    else:
-                        self._migrate(core, self._pending_target)
-                elif state.pos >= len(state.addr):
+            if native_dispatch is not None:
+                # Native policies never migrate, switch or hook quanta:
+                # a dispatch always runs its full quantum (or the rest
+                # of the thread).
+                pos = state.pos
+                n_records = native_lengths[thread_id]
+                end = pos + quantum
+                if end > n_records:
+                    end = n_records
+                clocks[core] += native_dispatch(
+                    native_ctx, core, thread_id, pos, end
+                )
+                state.pos = end
+                if end >= n_records:
                     self._complete(core, clocks[core])
-                elif policy_quantum:
-                    target = policy_quantum_end(core)
-                    if target is not None:
-                        self._migrate(core, target)
                 if running[core] is not None or not queues_is_empty(core):
                     self._activate(core, clocks[core])
                 continue
@@ -1901,6 +1874,8 @@ class ReplayEngine:
             if running[core] is not None or not queues_is_empty(core):
                 self._activate(core, clocks[core])
 
+        if native_run is not None:
+            native_run.export()
         if nuca_hot is not None:
             # Flush the batched bank statistics (inline events only; the
             # reference path updates bank stats directly, so mixed

@@ -87,7 +87,8 @@ class Machine:
         #: Blocks ever brought on chip: "in L2" for the timing model.
         self._l2_seen: set[int] = set()
         #: Optional banked NUCA L2 (Table 2 fidelity); None keeps the
-        #: infinite-L2 approximation that DESIGN.md §3 justifies.
+        #: infinite-L2 approximation that DESIGN.md's "Modelling
+        #: substitutions" justifies.
         self.nuca: Optional[NucaL2] = (
             NucaL2(self.torus) if model_l2_capacity else None
         )

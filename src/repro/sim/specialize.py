@@ -39,11 +39,6 @@ Debugging and tooling:
 
 * ``REPRO_SPECIALIZE_DUMP=<dir>`` writes every generated module to
   ``<dir>/<signature>.py`` so the emitted code can be read and diffed.
-* ``REPRO_SPECIALIZE_AOT=1`` additionally tries to compile the generated
-  module ahead of time with mypyc or Cython into a per-config cache
-  directory (``REPRO_SPECIALIZE_CACHE``, default
-  ``~/.cache/repro-specialize``), silently falling back to the exec'd
-  pure-Python kernel when no toolchain is present or compilation fails.
 
 **Measured result** (BENCH_10.json): real but modest — a uniform
 1.03-1.13x over the inline loop across all eight gated variants
@@ -52,11 +47,10 @@ target. The surviving work per record (dict probes, LRU stamps, tracker
 updates) is identical to the inline loop by construction, so
 dead-branch deletion can only shave the predicate tax itself, and
 CPython's run-constant predicates are cheap ``LOAD_FAST`` + jump pairs.
-``kernel="auto"`` therefore keeps resolving to the inline loop (see
+``kernel="auto"`` therefore never resolves to it (see
 ``engine._select_kernel``); the specialized kernel is selectable
 per-config or fleet-wide via ``REPRO_KERNEL=specialized``, and CI runs
-the full golden suite under it. ``REPRO_NO_SPECIALIZE=1`` vetoes it
-(mirroring ``REPRO_NO_BATCH``).
+the full golden suite under it. ``REPRO_NO_SPECIALIZE=1`` vetoes it.
 """
 
 from __future__ import annotations
@@ -1054,7 +1048,7 @@ def generate_source(spec: KernelSpec) -> str:
 
 
 # ----------------------------------------------------------------------
-# Compilation, memoisation, dump and AOT
+# Compilation, memoisation and dump
 # ----------------------------------------------------------------------
 
 #: Process-wide kernel memo. Populated pre-fork by the Runner so worker
@@ -1074,88 +1068,6 @@ def _exec_kernel(source: str, sig: str) -> Callable:
     return namespace["kernel"]
 
 
-def _aot_kernel(source: str, sig: str):
-    """Best-effort ahead-of-time compilation of the generated module.
-
-    Tries mypyc first, then Cython, building into a per-config cache
-    directory; any failure (no toolchain, compiler error, import error)
-    returns None and the caller falls back to the exec'd kernel. The
-    cache is keyed by the source signature, so a rebuilt config reuses
-    an existing extension without recompiling.
-    """
-    import importlib.machinery
-    import importlib.util
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    try:
-        cache_root = os.environ.get("REPRO_SPECIALIZE_CACHE")
-        cache = (
-            Path(cache_root)
-            if cache_root
-            else Path.home() / ".cache" / "repro-specialize"
-        )
-        cache.mkdir(parents=True, exist_ok=True)
-        mod_name = f"repro_specialized_{sig}"
-
-        def _load_built():
-            for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-                built = cache / f"{mod_name}{suffix}"
-                if built.exists():
-                    ext_spec = importlib.util.spec_from_file_location(
-                        mod_name, built
-                    )
-                    module = importlib.util.module_from_spec(ext_spec)
-                    ext_spec.loader.exec_module(module)
-                    return module.kernel
-            return None
-
-        fn = _load_built()
-        if fn is not None:
-            return fn
-        src_path = cache / f"{mod_name}.py"
-        src_path.write_text(source)
-        for backend in ("mypyc", "Cython"):
-            if importlib.util.find_spec(backend) is None:
-                continue
-            if backend == "mypyc":
-                setup_body = (
-                    "from setuptools import setup\n"
-                    "from mypyc.build import mypycify\n"
-                    f"setup(ext_modules=mypycify([{str(src_path)!r}]))\n"
-                )
-            else:
-                setup_body = (
-                    "from setuptools import setup\n"
-                    "from Cython.Build import cythonize\n"
-                    f"setup(ext_modules=cythonize([{str(src_path)!r}], "
-                    "language_level=3))\n"
-                )
-            setup_path = cache / f"setup_{sig}.py"
-            setup_path.write_text(setup_body)
-            result = subprocess.run(
-                [
-                    sys.executable,
-                    str(setup_path),
-                    "build_ext",
-                    "--build-lib",
-                    str(cache),
-                ],
-                cwd=str(cache),
-                capture_output=True,
-                timeout=600,
-            )
-            if result.returncode != 0:
-                continue
-            fn = _load_built()
-            if fn is not None:
-                return fn
-        return None
-    except Exception:
-        return None
-
-
 def kernel_for(spec: KernelSpec) -> Callable:
     """The compiled kernel for ``spec`` (memoised per process)."""
     fn = _KERNEL_CACHE.get(spec)
@@ -1173,10 +1085,7 @@ def kernel_for(spec: KernelSpec) -> Callable:
         if not path.exists():
             path.write_text(source)
     if fn is None:
-        if os.environ.get("REPRO_SPECIALIZE_AOT"):
-            fn = _aot_kernel(source, sig)
-        if fn is None:
-            fn = _exec_kernel(source, sig)
+        fn = _exec_kernel(source, sig)
         _KERNEL_CACHE[spec] = fn
     return fn
 

@@ -1,4 +1,5 @@
-"""Stall-cycle timing model (the Zesto substitution — DESIGN.md section 6).
+"""Stall-cycle timing model (the Zesto substitution — see DESIGN.md,
+"Modelling substitutions").
 
 The engine charges cycles per trace record instead of simulating a
 pipeline. The model keeps the paper's first-order structure:

@@ -1,7 +1,7 @@
 """Synthetic trace generation from a :class:`WorkloadSpec`.
 
 The generator is the substitution for the paper's PIN traces of Shore-MT
-(DESIGN.md section 3). It is fully deterministic given ``(spec, n_threads,
+(DESIGN.md, "Modelling substitutions"). It is fully deterministic given ``(spec, n_threads,
 seed)``: every thread derives its own child RNG from the master seed, so
 regenerating a trace always yields bit-identical streams regardless of
 generation order.

@@ -76,81 +76,9 @@ class ThreadTrace:
         self._replay_tables = (page_shift, tables)
         return tables
 
-    def batch_tables(
-        self,
-        page_shift: int,
-        n_i_sets: int,
-        n_d_sets: int,
-        width: int,
-    ) -> tuple:
-        """Cached structure-of-arrays tables for the batch replay kernel.
-
-        The batch kernel mirrors both L1s of a core as one combined
-        ``(n_i_sets + n_d_sets) x width`` tag matrix (I rows first), so
-        the per-record set index becomes a *combined row id* that can be
-        gathered in one vectorised lookup. Everything here is a pure
-        function of the trace and the cache geometry, so it is computed
-        once per ``(page_shift, geometry)`` and memoised on the thread —
-        shared zero-copy across every simulation of this trace in the
-        process, and inherited for free by ``fork``-based experiment
-        workers. Like :meth:`replay_tables`, the cache is dropped on
-        pickling (``spawn`` workers rebuild it locally).
-
-        Returns the tuple ``(row, flat, nib, spos, ipos, dpos,
-        irun_pos, irun_page, drun_pos, drun_page)``:
-
-        * ``row``: int32 combined row id per record;
-        * ``flat``: int32 ``row * width`` (flat index of way 0);
-        * ``nib``: int32 prefix array, ``nib[p]`` = number of
-          instruction records before position ``p``;
-        * ``spos``: list of store-record positions;
-        * ``ipos``/``dpos``: int64 positions of instruction / data
-          records (for ``searchsorted`` window queries);
-        * ``irun_pos``/``irun_page``: start position and page id of each
-          maximal same-page run *within the instruction subsequence*
-          (``drun_*`` likewise for the data subsequence) — the TLB only
-          does work at run boundaries.
-        """
-        key = (page_shift, n_i_sets, n_d_sets, width)
-        cached = getattr(self, "_batch_tables", None)
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        addr = self.addr
-        is_i = self.kind == KIND_INSTR
-        row = np.where(
-            is_i,
-            addr & (n_i_sets - 1),
-            n_i_sets + (addr & (n_d_sets - 1)),
-        ).astype(np.int32)
-        flat = row * np.int32(width)
-        nib = np.zeros(len(addr) + 1, dtype=np.int32)
-        np.cumsum(is_i, out=nib[1:], dtype=np.int32)
-        spos = np.nonzero(self.kind == KIND_STORE)[0].tolist()
-        ipos = np.nonzero(is_i)[0]
-        dpos = np.nonzero(~is_i)[0]
-        pages = addr >> page_shift
-
-        def _runs(positions: np.ndarray):
-            if len(positions) == 0:
-                return [], []
-            sub_pages = pages[positions]
-            starts = np.nonzero(np.diff(sub_pages) != 0)[0] + 1
-            starts = np.concatenate(([0], starts))
-            return positions[starts].tolist(), sub_pages[starts].tolist()
-
-        irun_pos, irun_page = _runs(ipos)
-        drun_pos, drun_page = _runs(dpos)
-        tables = (
-            row, flat, nib, spos, ipos, dpos,
-            irun_pos, irun_page, drun_pos, drun_page,
-        )
-        self._batch_tables = (key, tables)
-        return tables
-
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state.pop("_replay_tables", None)
-        state.pop("_batch_tables", None)
         return state
 
     @property

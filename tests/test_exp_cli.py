@@ -211,3 +211,22 @@ class TestJobsFlag:
         # Rerun: everything cached from the JSONL store.
         assert main(argv) == 0
         assert "[0 simulated, 16 cached]" in capsys.readouterr().out
+
+
+class TestKernelExplain:
+    def test_native_row_reports_eligibility_and_build(self, capsys):
+        from repro.sim import native
+
+        def native_row(variant: str) -> str:
+            assert main(["kernel", "explain", variant]) == 0
+            out = capsys.readouterr().out
+            assert "batch" not in out
+            return next(
+                line for line in out.splitlines() if line.startswith("native")
+            )
+
+        row = native_row("base")
+        assert "ok [" in row and native.status() in row
+        row = native_row("slicc")
+        assert "ineligible: policy 'slicc' migrates threads" in row
+        assert native.status() in row

@@ -131,28 +131,21 @@ class TestRunnerBasics:
         assert rerun.last_stats.simulated == 0
         assert result.variant == "base"
 
-    def test_batch_kernel_spec_prefork_materialisation(self, smoke_tpcc):
-        """A kernel="batch" spec gets its trace's SoA arrays built in
-        the parent (pre-fork sharing, the replay_tables treatment), and
-        the run itself matches the default-kernel result — the kernel
-        is canonicalised out of the store key precisely because it
-        never changes the numbers."""
-        import os
+    def test_native_kernel_spec_prefork_preload(self, smoke_tpcc):
+        """A spec that may run on the native kernel gets the library
+        loaded in the parent (pre-fork, so workers inherit it), and the
+        run itself matches the inline result — the kernel is
+        canonicalised out of the store key precisely because it never
+        changes the numbers."""
+        from repro.sim import native
 
-        from repro.sim.batch import numpy_available
-
-        if not numpy_available() or os.environ.get("REPRO_NO_BATCH"):
-            pytest.skip("batch kernel unavailable")
-        spec = spec_for(smoke_tpcc, variant="slicc", kernel="batch")
-        Runner._materialise_batch_tables(
-            [spec], {spec.trace_key(): smoke_tpcc}
-        )
-        for thread in smoke_tpcc.threads:
-            key, _tables = thread._batch_tables
-            assert key[1:] == (64, 64, 8)  # 32KB/8-way L1s, stacked
+        spec = spec_for(smoke_tpcc, variant="base", kernel="native")
+        native.preload([spec.config])
+        if native.load() is None:
+            pytest.skip(native.status())
         (result,) = Runner().run([spec], trace=smoke_tpcc)
         assert result_to_json(result) == result_to_json(
-            simulate(smoke_tpcc, variant="slicc")
+            simulate(smoke_tpcc, variant="base", kernel="inline")
         )
 
 

@@ -99,3 +99,34 @@ def test_extension_policies_byte_identical(golden_traces, workload, policy):
     golden = (GOLDEN_DIR / f"{workload}__{policy}.json").read_text().strip()
     result = simulate(golden_traces[workload], variant=policy)
     assert result_to_json(result) == golden
+
+
+def test_eligible_pins_resolve_to_native(golden_traces, monkeypatch):
+    """Every golden pin the native kernel covers runs on it under
+    ``auto`` — so the byte-identity tests above pin the C kernel."""
+    from repro.sim import native
+    from repro.sim.engine import ReplayEngine
+
+    if native.load() is None:
+        pytest.skip(native.status())
+    monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    configs = [
+        (workload, SimConfig(variant=variant))
+        for workload in GOLDEN_WORKLOADS + GOLDEN_VARIANT_WORKLOADS
+        for variant in VARIANTS
+    ]
+    configs += [
+        (workload, SimConfig(**kwargs))
+        for workload in GOLDEN_WORKLOADS
+        for _, kwargs in GOLDEN_CONFIGS
+    ]
+    configs += [
+        (workload, SimConfig(variant=policy))
+        for workload in GOLDEN_POLICY_WORKLOADS
+        for policy in GOLDEN_POLICIES
+    ]
+    eligible = [(w, c) for w, c in configs if not native.blockers(c)]
+    assert eligible
+    for workload, config in eligible:
+        engine = ReplayEngine(golden_traces[workload], config)
+        assert engine.kernel == "native", (workload, config.variant)

@@ -11,18 +11,45 @@ the reference implementations they replace.
 
 from __future__ import annotations
 
+import dataclasses
+import os
 import random
+import subprocess
+import sys
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.sim.machine as machine_mod
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.policies.base import make_policy
 from repro.core.signature import BloomSignature, SignatureSet
+from repro.errors import ConfigurationError
 from repro.exp.store import result_to_json
 from repro.params import CacheParams, ScalePreset, SliccParams, SystemParams
+from repro.sched import get_policy, policy_names
+from repro.sim import native, specialize
 from repro.sim.engine import ReplayEngine, SimConfig
 from repro.sim.machine import Machine
-from repro.workloads import standard_trace
+from repro.workloads import (
+    DataSpec,
+    PathStep,
+    TransactionTypeSpec,
+    WorkloadSpec,
+    generate_trace,
+    layout_segments,
+    standard_trace,
+)
+from repro.workloads.trace import (
+    KIND_INSTR,
+    KIND_LOAD,
+    KIND_STORE,
+    ThreadTrace,
+    Trace,
+)
 
 
 @pytest.fixture
@@ -327,22 +354,8 @@ class TestReplayTables:
 
 
 # ----------------------------------------------------------------------
-# PR 6: the batch replay kernel vs the inline loop vs the reference path
+# Kernel selection and the kernel-equivalence matrix
 # ----------------------------------------------------------------------
-
-import os  # noqa: E402
-
-from repro.errors import ConfigurationError  # noqa: E402
-from repro.sched import get_policy, policy_names  # noqa: E402
-from repro.sim.batch import numpy_available  # noqa: E402
-from repro.sim.tlb import PAGE_SHIFT, Tlb  # noqa: E402
-from repro.workloads.trace import KIND_INSTR  # noqa: E402
-
-_BATCH_OK = numpy_available() and not os.environ.get("REPRO_NO_BATCH")
-
-needs_batch = pytest.mark.skipif(
-    not _BATCH_OK, reason="numpy unavailable or REPRO_NO_BATCH set"
-)
 
 _SPECIALIZED_OK = not os.environ.get("REPRO_NO_SPECIALIZE")
 
@@ -350,9 +363,12 @@ needs_specialized = pytest.mark.skipif(
     not _SPECIALIZED_OK, reason="REPRO_NO_SPECIALIZE set"
 )
 
-#: Policies the batch kernel cannot run (structural blockers); forcing
-#: kernel="batch" on them must raise, and auto keeps them inline.
-BATCH_INELIGIBLE = frozenset({"nextline"})
+#: Policies the native C kernel covers (see repro.sim.native.blockers).
+NATIVE_POLICIES = frozenset({"base", "nextline", "pif", "affinity"})
+
+_NATIVE_OK = native.load() is not None
+
+needs_native = pytest.mark.skipif(not _NATIVE_OK, reason=native.status())
 
 KERNEL_MATRIX_WORKLOADS = ("tpcc-1", "webserve", "phased")
 
@@ -371,11 +387,62 @@ def _run_kernel(trace, variant: str, kernel: str) -> str:
     return result_to_json(engine.run())
 
 
+def _machine_state(engine) -> dict:
+    """Everything the native kernel owns during a run, read back from
+    the engine's Python objects after it."""
+    machine = engine.machine
+    state = {
+        "l2_seen": machine._l2_seen,
+        "sharers": machine.directory._sharers,
+        "invalidations": machine.directory.invalidations_sent,
+        "engine": (
+            engine.cycles_base,
+            engine.cycles_tlb,
+            engine.cycles_i_stall,
+            engine.cycles_d_stall,
+            engine.busy_cycles,
+            engine.clock,
+        ),
+    }
+    for side in ("l1i", "l1d"):
+        for core, cache in enumerate(getattr(machine, side)):
+            state[side, core] = (
+                cache._tags,
+                cache._index,
+                cache.policy._age,
+                cache.policy._hi,
+                cache.stats,
+            )
+    for side in ("itlb", "dtlb"):
+        for core, tlb in enumerate(getattr(machine, side)):
+            state[side, core] = (list(tlb._map), tlb.accesses, tlb.misses)
+    if engine.prefetchers is not None:
+        state["prefetch"] = [
+            (pf._pending, pf.issued, pf.useful) for pf in engine.prefetchers
+        ]
+    return state
+
+
+def _assert_native_matches_reference(trace, config: SimConfig) -> None:
+    """Native vs the fallback reference: byte-identical results and
+    identical post-run machine state."""
+    runs = {}
+    for kernel in ("native", "fallback"):
+        engine = ReplayEngine(trace, dataclasses.replace(config, kernel=kernel))
+        assert engine.kernel == kernel
+        runs[kernel] = (result_to_json(engine.run()), _machine_state(engine))
+    assert runs["native"][0] == runs["fallback"][0]
+    native_state, reference_state = runs["native"][1], runs["fallback"][1]
+    assert native_state.keys() == reference_state.keys()
+    for key, value in reference_state.items():
+        assert native_state[key] == value, key
+
+
 class TestKernelEquivalenceMatrix:
-    """Every registered policy × three workloads: the four kernels are
-    byte-identical (the batch leg skips structurally ineligible
-    policies, whose batch request is pinned to raise below; the
-    specialized leg runs every policy — all ten are eligible)."""
+    """Every registered policy × three workloads: the kernels are
+    byte-identical (the specialized leg runs every policy — all ten are
+    eligible; the native leg runs the policies it covers and also pins
+    the post-run machine state)."""
 
     @pytest.mark.parametrize("workload", KERNEL_MATRIX_WORKLOADS)
     @pytest.mark.parametrize("variant", sorted(policy_names()))
@@ -384,32 +451,41 @@ class TestKernelEquivalenceMatrix:
         inline = _run_kernel(trace, variant, "inline")
         fallback = _run_kernel(trace, variant, "fallback")
         assert inline == fallback
-        if _BATCH_OK and variant not in BATCH_INELIGIBLE:
-            assert _run_kernel(trace, variant, "batch") == inline
         if _SPECIALIZED_OK:
             assert _run_kernel(trace, variant, "specialized") == inline
+        if _NATIVE_OK and variant in NATIVE_POLICIES:
+            _assert_native_matches_reference(trace, SimConfig(variant=variant))
+
+    def test_native_policy_set(self):
+        eligible = {
+            name
+            for name in policy_names()
+            if not native.blockers(SimConfig(variant=name))
+        }
+        assert eligible == NATIVE_POLICIES
 
 
 class TestKernelSelection:
     def test_auto_resolves_to_inline(self, matrix_trace, monkeypatch):
-        # The measured negative result: on the paper's thrash-regime
-        # traces the batch kernel loses to the inline loop, so auto
-        # must never pick it (see sim/batch.py). REPRO_KERNEL re-routes
-        # auto fleet-wide (the CI specialized leg), so pin the default
-        # resolution with the override cleared.
+        # auto never picks the specialized kernel (a modest win, see
+        # BENCH_10.json) and, since the native kernel, resolves to inline
+        # only where native cannot run: on ineligible policies like
+        # slicc, or without a C compiler. REPRO_KERNEL re-routes auto
+        # fleet-wide (the CI inline leg), so pin the default resolution
+        # with the override cleared.
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
         engine = ReplayEngine(matrix_trace, SimConfig(variant="slicc"))
         assert engine.kernel == "inline"
-        assert engine._batch is None
         assert engine._fast_i and engine._fast_d
+        engine = ReplayEngine(matrix_trace, SimConfig(variant="base"))
+        assert engine.kernel == ("native" if _NATIVE_OK else "inline")
 
-    @needs_batch
-    def test_explicit_batch_honoured(self, matrix_trace):
+    @needs_native
+    def test_explicit_native_honoured(self, matrix_trace):
         engine = ReplayEngine(
-            matrix_trace, SimConfig(variant="slicc", kernel="batch")
+            matrix_trace, SimConfig(variant="nextline", kernel="native")
         )
-        assert engine.kernel == "batch"
-        assert engine._batch is not None
+        assert engine.kernel == "native"
 
     def test_fallback_disables_fast_flags(self, matrix_trace):
         engine = ReplayEngine(
@@ -421,15 +497,15 @@ class TestKernelSelection:
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ConfigurationError):
             SimConfig(kernel="vectorised")
+        with pytest.raises(ConfigurationError):
+            SimConfig(kernel="batch")
 
-    @needs_batch
-    def test_ineligible_policy_raises_on_forced_batch(self, matrix_trace):
+    def test_ineligible_policy_raises_on_forced_native(self, matrix_trace):
         with pytest.raises(ConfigurationError, match="ineligible"):
             ReplayEngine(
-                matrix_trace, SimConfig(variant="nextline", kernel="batch")
+                matrix_trace, SimConfig(variant="slicc", kernel="native")
             )
 
-    @needs_batch
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -439,129 +515,253 @@ class TestKernelSelection:
         ],
         ids=["classifiers", "nuca", "data-prefetch"],
     )
-    def test_structural_blockers_raise_on_forced_batch(
+    def test_structural_blockers_raise_on_forced_native(
         self, matrix_trace, kwargs
     ):
         kwargs.setdefault("variant", "base")
         with pytest.raises(ConfigurationError, match="ineligible"):
-            ReplayEngine(matrix_trace, SimConfig(kernel="batch", **kwargs))
+            ReplayEngine(matrix_trace, SimConfig(kernel="native", **kwargs))
 
-    def test_no_batch_env_vetoes_forced_batch(self, matrix_trace, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_BATCH", "1")
-        with pytest.raises(ConfigurationError, match="REPRO_NO_BATCH"):
-            ReplayEngine(
-                matrix_trace, SimConfig(variant="base", kernel="batch")
-            )
-        # auto is unaffected: it never picks batch anyway.
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    def test_repro_kernel_inline_keeps_auto_off_native(
+        self, matrix_trace, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_KERNEL", "inline")
         engine = ReplayEngine(matrix_trace, SimConfig(variant="base"))
         assert engine.kernel == "inline"
+        if _NATIVE_OK:
+            # Explicit kernels keep their request under the override.
+            engine = ReplayEngine(
+                matrix_trace, SimConfig(variant="base", kernel="native")
+            )
+            assert engine.kernel == "native"
 
-    def test_batch_kernel_safe_flag_blocks(self, matrix_trace, monkeypatch):
+    def test_policy_flags_block_native(self, matrix_trace, monkeypatch):
         cls = get_policy("base")
-        monkeypatch.setattr(cls, "batch_kernel_safe", False)
-        engine = ReplayEngine(matrix_trace, SimConfig(variant="base"))
-        assert "batch_kernel_safe" in " ".join(engine._batch_blockers())
-        if _BATCH_OK:
-            with pytest.raises(ConfigurationError, match="batch_kernel_safe"):
-                ReplayEngine(
-                    matrix_trace, SimConfig(variant="base", kernel="batch")
-                )
+        monkeypatch.setattr(cls, "quantum_hook", True)
+        assert "quantum hook" in " ".join(
+            native.blockers(SimConfig(variant="base"))
+        )
+        with pytest.raises(ConfigurationError, match="quantum hook"):
+            ReplayEngine(
+                matrix_trace, SimConfig(variant="base", kernel="native")
+            )
 
     def test_kernel_excluded_from_spec_keys(self):
         from repro.exp.spec import ExperimentSpec
 
-        base = ExperimentSpec("tpcc-1", config=SimConfig(variant="slicc"))
+        base = ExperimentSpec("tpcc-1", config=SimConfig(variant="base"))
         forced = ExperimentSpec(
-            "tpcc-1", config=SimConfig(variant="slicc", kernel="batch")
+            "tpcc-1", config=SimConfig(variant="base", kernel="native")
         )
         assert base.key() == forced.key()
 
 
-@needs_batch
-class TestBatchTables:
-    def test_tables_memoised_per_geometry(self, matrix_trace):
-        thread = matrix_trace.threads[0]
-        tables = thread.batch_tables(PAGE_SHIFT, 64, 64, 8)
-        assert thread.batch_tables(PAGE_SHIFT, 64, 64, 8) is tables
-        other = thread.batch_tables(PAGE_SHIFT, 128, 64, 8)
-        assert other is not tables
+# ----------------------------------------------------------------------
+# The native C kernel against the reference path
+# ----------------------------------------------------------------------
 
-    def test_row_ids_and_prefix_match_python(self, matrix_trace):
-        thread = matrix_trace.threads[0]
-        nis, nds, width = 64, 64, 8
-        row, flat, nib, spos, ipos, dpos, *_ = thread.batch_tables(
-            PAGE_SHIFT, nis, nds, width
+_POW2 = st.sampled_from([1, 2, 4, 8, 16, 32, 64])
+
+native_configs = st.fixed_dictionaries(
+    {
+        "variant": st.sampled_from(sorted(NATIVE_POLICIES)),
+        "i_sets": _POW2,
+        "i_assoc": st.sampled_from([1, 2, 4, 8]),
+        "d_sets": _POW2,
+        "d_assoc": st.sampled_from([1, 2, 4, 8]),
+        "itlb": st.integers(min_value=1, max_value=32),
+        "dtlb": st.integers(min_value=1, max_value=32),
+        "quantum": st.integers(min_value=1, max_value=120),
+        "spacing": st.one_of(st.none(), st.integers(0, 3000)),
+        "width": st.integers(min_value=1, max_value=8),
+        "n_threads": st.integers(min_value=1, max_value=24),
+        "seed": st.integers(min_value=0, max_value=2**16),
+    }
+)
+
+
+def _small_trace(n_threads: int, seed: int):
+    """A small two-type workload with a hot shared data set, so stores
+    invalidate remote sharers often."""
+    segments = layout_segments([48, 32, 64])
+    types = tuple(
+        TransactionTypeSpec(
+            type_id=t,
+            name=f"t{t}",
+            weight=1.0,
+            path=tuple(
+                PathStep(seg_id=(t + i) % 3, inner_iterations=1)
+                for i in range(3)
+            ),
         )
-        addr = thread.addr.tolist()
-        kind = thread.kind.tolist()
-        expect_rows = [
-            (a & (nis - 1)) if k == KIND_INSTR else nis + (a & (nds - 1))
-            for a, k in zip(addr, kind)
-        ]
-        assert row.tolist() == expect_rows
-        assert flat.tolist() == [r * width for r in expect_rows]
-        run = 0
-        for i, k in enumerate(kind):
-            assert nib[i] == run
-            if k == KIND_INSTR:
-                run += 1
-        assert nib[len(kind)] == run
-        assert ipos.tolist() == [
-            i for i, k in enumerate(kind) if k == KIND_INSTR
-        ]
-        assert dpos.tolist() == [
-            i for i, k in enumerate(kind) if k != KIND_INSTR
-        ]
-
-    def test_tables_not_pickled(self, matrix_trace):
-        import pickle
-
-        thread = matrix_trace.threads[0]
-        thread.batch_tables(PAGE_SHIFT, 64, 64, 8)
-        clone = pickle.loads(pickle.dumps(thread))
-        assert not hasattr(clone, "_batch_tables")
-        assert clone.addr.tolist() == thread.addr.tolist()
+        for t in range(2)
+    )
+    spec = WorkloadSpec(
+        name="native-diff",
+        segments=tuple(segments),
+        txn_types=types,
+        data=DataSpec(accesses_per_iblock=0.6, shared_hot_blocks=24),
+    )
+    return generate_trace(spec, n_threads=n_threads, seed=seed)
 
 
-class TestBatchEntryPoints:
-    @needs_batch
-    def test_batch_export_mirrors_residency(self, tiny_params):
-        cache = SetAssociativeCache(tiny_params)
-        n_sets = tiny_params.n_sets
-        blocks = [0, n_sets, 2 * n_sets, 3, n_sets + 3]
-        for block in blocks:
-            cache.access_fast(block)
-        tags, occ = cache.batch_export()
-        assert tags.shape == (n_sets, tiny_params.assoc)
-        assert occ[0] == 3 and occ[3] == 2
-        resident = set(tags[tags != -1].tolist())
-        assert resident == set(blocks)
-        assert cache.probe_batch(blocks) == [True] * len(blocks)
-        assert cache.probe_batch([7 * n_sets]) == [False]
-        with pytest.raises(ValueError):
-            cache.batch_export(tiny_params.assoc - 1)
+class TestNativeDifferential:
+    @needs_native
+    @settings(max_examples=30, deadline=None)
+    @given(native_configs)
+    def test_random_configs_match_reference(self, p):
+        system = SystemParams(
+            n_cores=p["width"] ** 2,
+            torus_width=p["width"],
+            l1i=CacheParams(
+                size_bytes=p["i_sets"] * p["i_assoc"] * 64,
+                assoc=p["i_assoc"],
+            ),
+            l1d=CacheParams(
+                size_bytes=p["d_sets"] * p["d_assoc"] * 64,
+                assoc=p["d_assoc"],
+            ),
+        )
+        config = SimConfig(
+            variant=p["variant"],
+            system=system,
+            quantum=p["quantum"],
+            arrival_spacing=p["spacing"],
+        )
+        trace = _small_trace(p["n_threads"], p["seed"])
+        with mock.patch.object(
+            machine_mod, "ITLB_ENTRIES", p["itlb"]
+        ), mock.patch.object(machine_mod, "DTLB_ENTRIES", p["dtlb"]):
+            _assert_native_matches_reference(trace, config)
 
-    def test_tlb_access_pages_matches_scalar(self):
-        a, b = Tlb(entries=4), Tlb(entries=4)
-        pages = [1, 2, 3, 1, 4, 5, 6, 2, 1]
-        for page in pages:
-            a.access(page << PAGE_SHIFT)
-        misses = b.access_pages(pages)
-        assert misses == a.misses == b.misses
-        assert list(a._map) == list(b._map)
-        # accesses is bulk-added by the caller, not by access_pages.
-        assert b.accesses == 0
+    @needs_native
+    def test_store_orphaning_last_remote_sharer(self):
+        """Directory.on_write's pinned quirk: a store that invalidates
+        the last remote sharer, by a core that was not a sharer, leaves
+        the block cached at the writer but absent from the directory."""
+        block = 1 << 20
+
+        def thread(tid: int, kind: int) -> ThreadTrace:
+            return ThreadTrace(
+                thread_id=tid,
+                txn_type=0,
+                addr=np.array([tid, block], dtype=np.int64),
+                kind=np.array([KIND_INSTR, kind], dtype=np.int8),
+            )
+
+        trace = Trace(
+            workload="orphan",
+            threads=[thread(0, KIND_LOAD), thread(1, KIND_STORE)],
+            instructions_per_iblock=4,
+            seed=0,
+        )
+        config = SimConfig(
+            variant="base",
+            system=SystemParams(n_cores=4, torus_width=2),
+            arrival_spacing=0,
+        )
+        _assert_native_matches_reference(trace, config)
+        engine = ReplayEngine(trace, dataclasses.replace(config, kernel="native"))
+        engine.run()
+        machine = engine.machine
+        assert machine.directory.invalidations_sent == 1
+        assert machine.l1d[0].stats.invalidations == 1
+        assert machine.l1d[1].probe(block)
+        assert block not in machine.directory._sharers
+
+
+def _prewarm(engine) -> None:
+    """Deterministic non-empty machine state before the run starts, so
+    the native import path sees every structure populated."""
+    machine = engine.machine
+    for core in range(machine.n_cores):
+        for i in range(40):
+            block = 7 * i + core
+            machine.l1i[core].access_fast(block)
+            machine.itlb[core].access(block << 3)
+            if engine.prefetchers is not None:
+                engine.prefetchers[core].on_demand_miss(block)
+            if machine.l1d[core].access_fast(block) is False:
+                machine.directory.on_read(core, block)
+            machine.dtlb[core].access(block << 5)
+            machine.l2_touch(block)
+
+
+class TestNativeImport:
+    @needs_native
+    @pytest.mark.parametrize("variant", ["base", "nextline"])
+    def test_prewarmed_state_round_trips(self, matrix_trace, variant):
+        runs = {}
+        for kernel in ("native", "fallback"):
+            engine = ReplayEngine(
+                matrix_trace, SimConfig(variant=variant, kernel=kernel)
+            )
+            _prewarm(engine)
+            runs[kernel] = (result_to_json(engine.run()), _machine_state(engine))
+        assert runs["native"] == runs["fallback"]
+
+
+class TestNativeFallback:
+    @pytest.mark.parametrize(
+        "case", ["missing-compiler", "failing-compiler", "unwritable-cache"]
+    )
+    def test_unbuildable_library_falls_back_to_inline(
+        self, matrix_trace, tmp_path, monkeypatch, case
+    ):
+        cache = tmp_path / "cache"
+        if case == "missing-compiler":
+            monkeypatch.setattr(native, "CC", (str(tmp_path / "no-cc"),))
+        elif case == "failing-compiler":
+            monkeypatch.setattr(native, "CC", ("false",))
+        else:
+            cache.write_text("a file where the cache directory should be")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        native.reset()
+        try:
+            engine = ReplayEngine(matrix_trace, SimConfig(variant="base"))
+            assert engine.kernel == "inline"
+            assert result_to_json(engine.run()) == _run_kernel(
+                matrix_trace, "base", "fallback"
+            )
+            with pytest.raises(
+                ConfigurationError, match="native kernel unavailable"
+            ):
+                ReplayEngine(
+                    matrix_trace, SimConfig(variant="base", kernel="native")
+                )
+            # A failed build leaves no partial artifact behind.
+            leftovers = [
+                path
+                for path in tmp_path.rglob("*")
+                if path.is_file() and path != cache
+            ]
+            assert not leftovers
+        finally:
+            native.reset()
+
+    def test_import_builds_nothing(self, tmp_path):
+        env = dict(
+            os.environ,
+            XDG_CACHE_HOME=str(tmp_path),
+            PYTHONPATH=os.pathsep.join(sys.path),
+        )
+        subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro, repro.sim.native; "
+                "assert repro.sim.native._tried is False",
+            ],
+            env=env,
+            check=True,
+        )
+        assert not list(tmp_path.iterdir())
 
 
 # ----------------------------------------------------------------------
 # PR 10: the per-config specialized (generated) kernel
 # ----------------------------------------------------------------------
-
-import dataclasses  # noqa: E402
-
-from repro.params import SystemParams  # noqa: E402
-from repro.sim import specialize  # noqa: E402
 
 
 def _non_lru_system() -> SystemParams:
@@ -693,18 +893,3 @@ class TestSpecializedGeneration:
         dumped = tmp_path / f"{specialize.signature(spec)}.py"
         assert dumped.exists()
         assert dumped.read_text() == specialize.generate_source(spec)
-
-    def test_aot_without_toolchain_falls_back(
-        self, matrix_trace, tmp_path, monkeypatch
-    ):
-        # No mypyc/Cython in the test environment: the AOT leg must fall
-        # back silently to the exec'd kernel and still run end-to-end.
-        monkeypatch.delenv("REPRO_NO_SPECIALIZE", raising=False)
-        monkeypatch.setenv("REPRO_SPECIALIZE_AOT", "1")
-        monkeypatch.setenv("REPRO_SPECIALIZE_CACHE", str(tmp_path))
-        specialize.clear_cache()
-        try:
-            inline = _run_kernel(matrix_trace, "slicc", "inline")
-            assert _run_kernel(matrix_trace, "slicc", "specialized") == inline
-        finally:
-            specialize.clear_cache()
