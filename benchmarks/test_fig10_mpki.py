@@ -60,7 +60,7 @@ def test_fig10_mpki(benchmark, run_sims, workload):
         # TPC-E at CI scale: the 10-way type mix leaves each partition
         # only 3-5 caches against a 4-segment footprint, so SLICC-SW does
         # not beat the (inner-loop-friendly) baseline's I-MPKI here —
-        # documented deviation in EXPERIMENTS.md. The orderings that do
+        # deviation tracked in ROADMAP item 1. The orderings that do
         # hold: type-awareness beats oblivious, and the D-MPKI cost of
         # migration appears exactly as the paper describes.
         assert results["slicc-sw"].i_mpki <= results["slicc"].i_mpki

@@ -49,6 +49,6 @@ def test_fig11_performance(benchmark, run_sims, workload):
         # Shape checks that hold at this scale: prefetching and the PIF
         # upper bound beat the baseline; SLICC-SW cuts instruction
         # misses below the oblivious variant's level (Figure 10) even
-        # where makespan is pipeline-bound (see EXPERIMENTS.md).
+        # where makespan is pipeline-bound (see ROADMAP item 1).
         assert speed["nextline"] > 1.0
         assert speed["pif"] > 1.0

@@ -120,10 +120,11 @@ def bench(
 ) -> dict:
     """Measure every variant; returns the result document.
 
-    ``kernel`` forces a replay kernel (``native``/``specialized``/
-    ``inline``/``fallback``); the default ``auto`` is the engine's own
-    selection. ``profile`` additionally cProfiles one (untimed) run per
-    variant and records the top-15 cumulative hotspots.
+    ``kernel`` forces a replay kernel (any of
+    :data:`repro.sim.engine.KERNELS`); the default ``auto`` is the
+    engine's own selection. ``profile`` additionally cProfiles one
+    (untimed) run per variant and records the top-15 cumulative
+    hotspots.
     Each measurement row records the kernel the engine actually ran
     (``auto`` resolves per config), so baselines pin *which* code path
     their numbers describe and a regression can be blamed on the right

@@ -603,27 +603,18 @@ def _cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _kernel_rows(engine) -> list[list[str]]:
-    """Eligibility table rows for every selectable kernel of one
-    constructed engine (inline/fallback are always available)."""
-    import os
-
+def _kernel_rows(config) -> list[list[str]]:
+    """Eligibility table rows for every selectable kernel of one config
+    (inline/fallback are always available)."""
     from repro.sim import native
 
-    rows = [
+    blockers = native.blockers(config)
+    eligible = "ineligible: " + "; ".join(blockers) if blockers else "ok"
+    return [
         ["inline", "ok (always available)"],
         ["fallback", "ok (always available)"],
+        ["native", f"{eligible} [{native.status()}]"],
     ]
-    blockers = native.blockers(engine.config)
-    eligible = "ineligible: " + "; ".join(blockers) if blockers else "ok"
-    rows.append(["native", f"{eligible} [{native.status()}]"])
-    if os.environ.get("REPRO_NO_SPECIALIZE"):
-        spec = "vetoed (REPRO_NO_SPECIALIZE is set)"
-    else:
-        blockers = engine._specialize_blockers()
-        spec = "ineligible: " + "; ".join(blockers) if blockers else "ok"
-    rows.append(["specialized", spec])
-    return rows
 
 
 def _cmd_kernel_explain(args: argparse.Namespace) -> int:
@@ -656,21 +647,18 @@ def _cmd_kernel_explain(args: argparse.Namespace) -> int:
         )
 
     # Blockers are structural (policy flags + cache geometry), so a
-    # smoke trace is enough to construct the probe engines.
+    # smoke trace is enough to resolve ``auto``.
     trace = standard_trace("tpcc-1", ScalePreset.SMOKE, seed=3)
     env = os.environ.get("REPRO_KERNEL", "").strip()
     for label, config in configs:
         resolved = ReplayEngine(
             trace, dataclasses.replace(config, kernel="auto")
         ).kernel
-        probe = ReplayEngine(
-            trace, dataclasses.replace(config, kernel="inline")
-        )
         note = f" (REPRO_KERNEL={env})" if env else ""
         print(
             format_table(
                 ["kernel", "eligibility"],
-                _kernel_rows(probe),
+                _kernel_rows(config),
                 title=f"{label}: auto resolves to {resolved!r}{note}",
             )
         )
@@ -969,10 +957,10 @@ def build_parser() -> argparse.ArgumentParser:
         "eligibility/blockers",
         description="For a registered variant name or an exp spec file, "
         "print which replay kernel kernel='auto' resolves to (honouring "
-        "REPRO_KERNEL / REPRO_NO_SPECIALIZE) and, for each selectable "
-        "kernel, whether an explicit request would be honoured or why it "
-        "would raise; the native row also shows the C library's build "
-        "status (cached artifact path, or the compiler error).",
+        "REPRO_KERNEL) and, for each selectable kernel, whether an "
+        "explicit request would be honoured or why it would raise; the "
+        "native row also shows the C library's build status (cached "
+        "artifact path, or the compiler error).",
     )
     k_explain.add_argument(
         "spec",

@@ -329,12 +329,6 @@ class Runner:
             from repro.sim import native
 
             native.preload(spec.config for spec in pending)
-            # And for the specialized kernel: generate + compile each
-            # distinct per-config kernel once in the parent so workers
-            # inherit the populated memo (specialize._KERNEL_CACHE)
-            # through the forked address space instead of regenerating
-            # it per process.
-            self._materialise_specialized_kernels(pending, explicit)
         else:
             ctx = multiprocessing.get_context()
         pool = FaultTolerantPool(
@@ -397,51 +391,3 @@ class Runner:
                     break
         finally:
             _EXPLICIT = previous
-
-    @staticmethod
-    def _materialise_specialized_kernels(
-        pending: list[ExperimentSpec], explicit: dict[str, Trace]
-    ) -> None:
-        """Pre-fork generation of the specialized kernels.
-
-        For every pending spec that resolves to ``kernel="specialized"``
-        (explicitly, or via ``REPRO_KERNEL=specialized`` re-resolving
-        ``auto``), build a throwaway engine in the parent: construction
-        generates, compiles and memoises the per-config kernel in
-        ``repro.sim.specialize._KERNEL_CACHE``, which forked workers
-        then inherit zero-copy. Ineligible or vetoed configs are left
-        for the runs themselves to report (explicit requests raise
-        there; fleet overrides fall back silently), so this pre-pass
-        never fails a sweep.
-        """
-        import os
-
-        wants_specialized = [
-            s for s in pending if s.config.kernel == "specialized"
-        ]
-        if os.environ.get(
-            "REPRO_KERNEL", ""
-        ).strip() == "specialized" and not os.environ.get(
-            "REPRO_NO_SPECIALIZE"
-        ):
-            wants_specialized += [
-                s for s in pending if s.config.kernel == "auto"
-            ]
-        if not wants_specialized:
-            return
-        from repro.sim.engine import ReplayEngine
-
-        seen: set = set()
-        for spec in wants_specialized:
-            if spec.key() in seen:
-                continue
-            seen.add(spec.key())
-            trace = explicit.get(spec.trace_key())
-            if trace is None:
-                continue
-            try:
-                # Construction alone generates, compiles and memoises
-                # the kernel (ReplayEngine.__init__ -> kernel_for_engine).
-                ReplayEngine(trace, spec.config)
-            except ConfigurationError:
-                continue

@@ -135,8 +135,7 @@ class ExperimentSpec:
             if name not in relevant
         }
         if config.kernel != _DEFAULT_CONFIG.kernel:
-            # The replay kernel (batch/specialized/inline/fallback)
-            # never affects
+            # The replay kernel (native/inline/fallback) never affects
             # results — all kernels are pinned byte-identical — so it
             # must not fragment the result store.
             overrides["kernel"] = _DEFAULT_CONFIG.kernel

@@ -100,7 +100,7 @@ _MC_CAPACITY = MissClass.CAPACITY
 _MC_CONFLICT = MissClass.CONFLICT
 
 #: Valid ``SimConfig.kernel`` (and ``REPRO_KERNEL``) values.
-KERNELS = ("auto", "native", "specialized", "inline", "fallback")
+KERNELS = ("auto", "native", "inline", "fallback")
 
 
 @dataclass(frozen=True)
@@ -147,13 +147,11 @@ class SimConfig:
     #: :func:`repro.sim.native.blockers` — when the library builds, and
     #: to the pure-python inline loop otherwise. ``"native"`` requests
     #: the C kernel explicitly (raising on an ineligible config or when
-    #: the library cannot be built); ``"specialized"`` opts into the
-    #: per-config generated kernel (``sim/specialize.py``; raising on an
-    #: ineligible config — see :meth:`ReplayEngine._specialize_blockers`
-    #: — or when ``REPRO_NO_SPECIALIZE=1`` is set); ``"inline"`` forces
-    #: the inline loop; ``"fallback"`` routes every record through the
-    #: generic ``_process_instruction`` / ``_process_data`` reference
-    #: path. ``REPRO_KERNEL=<name>`` re-resolves ``"auto"`` fleet-wide
+    #: the library cannot be built); ``"inline"`` forces the inline
+    #: loop (which also hosts the scheduling loop the native kernel runs
+    #: inside); ``"fallback"`` routes every record through the generic
+    #: ``_process_instruction`` / ``_process_data`` reference path.
+    #: ``REPRO_KERNEL=<name>`` re-resolves ``"auto"`` fleet-wide
     #: (falling back silently to inline on ineligible configs). All
     #: kernels are byte-identical; the choice never affects results (and
     #: is excluded from experiment store keys — see ``exp/spec.py``).
@@ -490,45 +488,16 @@ class ReplayEngine:
         )
         self._policy_quantum_hook = policy.quantum_hook
 
-        # Kernel selection: native (C quanta, sim/native.py) vs
-        # specialized (generated per-config loop) vs inline (the
-        # handwritten per-record loop) vs fallback (the generic
+        # Kernel selection: native (C quanta, sim/native.py) vs inline
+        # (the handwritten per-record loop) vs fallback (the generic
         # reference methods).
         # All are byte-identical — the golden suite pins it; the choice
         # is pure performance.
         self._native_lib = None
         self.kernel = self._select_kernel()
-        self._specialized = None
-        if self.kernel == "specialized":
-            from repro.sim.specialize import kernel_for_engine
-
-            self._specialized = kernel_for_engine(self)
-        elif self.kernel == "fallback":
+        if self.kernel == "fallback":
             self._fast_i = False
             self._fast_d = False
-
-    def _specialize_blockers(self) -> list[str]:
-        """Why this configuration cannot use the specialized kernel
-        (empty when eligible).
-
-        The generator (``repro.sim.specialize``) emits the inline loop
-        with only the age-counter LRU replacement arms — prefetchers,
-        classifiers, the banked NUCA L2 and the data prefetcher are all
-        generatable, so none of them block. A policy that clears the
-        ``specialize_safe`` capability flag stays on the inline loop (its
-        hooks may violate the generated tail's folded assumptions — see
-        ``sched/base.py``).
-        """
-        reasons = []
-        if not self.policy.specialize_safe:
-            reasons.append(
-                f"policy {self.policy.name!r} clears specialize_safe"
-            )
-        if self.machine.l1i[0].policy.__class__ is not LruPolicy:
-            reasons.append("non-LRU L1-I policy")
-        if self.machine.l1d[0].policy.__class__ is not LruPolicy:
-            reasons.append("non-LRU L1-D policy")
-        return reasons
 
     def _native_unavailable(self) -> Optional[str]:
         """Why this run cannot use the native kernel (None when it can).
@@ -551,18 +520,15 @@ class ReplayEngine:
         """Resolve ``config.kernel`` to the kernel this run will use.
 
         ``auto`` resolves to ``native`` when the configuration is
-        eligible and the library builds, else to ``inline`` (the
-        specialized kernel is an explicit opt-in: a modest win that
-        stays under the roadmap bar — see ``sim/specialize.py`` and
-        BENCH_10.json). ``REPRO_KERNEL=<name>`` re-resolves ``auto``
-        fleet-wide (CI runs the golden suite this way), falling back
-        *silently* to inline when the named kernel cannot run this
-        config — a fleet override must not break ineligible configs. An
-        explicit per-config ``native``/``specialized`` request, by
-        contrast, is validated loudly: an ineligible configuration, an
-        unbuildable library or a ``REPRO_NO_SPECIALIZE=1`` veto each
-        raise rather than silently running a different kernel than the
-        caller asked for.
+        eligible and the library builds, else to ``inline``.
+        ``REPRO_KERNEL=<name>`` re-resolves ``auto`` fleet-wide (CI runs
+        the golden suite this way), falling back *silently* to inline
+        when the named kernel cannot run this config — a fleet override
+        must not break ineligible configs. An explicit per-config
+        ``native`` request, by contrast, is validated loudly: an
+        ineligible configuration or an unbuildable library raises rather
+        than silently running a different kernel than the caller asked
+        for.
         """
         requested = self.config.kernel
         if requested == "auto":
@@ -574,13 +540,6 @@ class ReplayEngine:
                 )
             if env in ("auto", "native"):
                 return "inline" if self._native_unavailable() else "native"
-            if env == "specialized":
-                if (
-                    os.environ.get("REPRO_NO_SPECIALIZE")
-                    or self._specialize_blockers()
-                ):
-                    return "inline"
-                return "specialized"
             return env
         if requested == "native":
             reason = self._native_unavailable()
@@ -589,19 +548,6 @@ class ReplayEngine:
                     f"kernel='native' requested but {reason}"
                 )
             return "native"
-        if requested == "specialized":
-            if os.environ.get("REPRO_NO_SPECIALIZE"):
-                raise ConfigurationError(
-                    "kernel='specialized' requested but "
-                    "REPRO_NO_SPECIALIZE is set"
-                )
-            blockers = self._specialize_blockers()
-            if blockers:
-                raise ConfigurationError(
-                    "kernel='specialized' requested but the configuration "
-                    "is ineligible: " + "; ".join(blockers)
-                )
-            return "specialized"
         return requested
 
     def _build_core_hot(self, core: int) -> "_CoreHot":
@@ -1072,18 +1018,6 @@ class ReplayEngine:
         self._ran = True
         self._pending_target: Optional[int] = None
         self._admit_threads(now=0)
-
-        if self._specialized is not None:
-            # Specialized kernel (PR 10): the whole main loop runs as a
-            # per-config generated function (repro.sim.specialize) —
-            # only admission above and collection below are shared.
-            self._specialized(self)
-            if self.completed != len(self.threads):
-                raise SimulationError(
-                    f"run ended with {self.completed}/{len(self.threads)} "
-                    "threads completed — scheduler deadlock"
-                )
-            return self._collect_results()
 
         quantum = self.config.quantum
         machine = self.machine

@@ -31,7 +31,7 @@ from repro.errors import ConfigurationError
 from repro.exp.store import result_to_json
 from repro.params import CacheParams, ScalePreset, SliccParams, SystemParams
 from repro.sched import get_policy, policy_names
-from repro.sim import native, specialize
+from repro.sim import native
 from repro.sim.engine import ReplayEngine, SimConfig
 from repro.sim.machine import Machine
 from repro.workloads import (
@@ -357,12 +357,6 @@ class TestReplayTables:
 # Kernel selection and the kernel-equivalence matrix
 # ----------------------------------------------------------------------
 
-_SPECIALIZED_OK = not os.environ.get("REPRO_NO_SPECIALIZE")
-
-needs_specialized = pytest.mark.skipif(
-    not _SPECIALIZED_OK, reason="REPRO_NO_SPECIALIZE set"
-)
-
 #: Policies the native C kernel covers (see repro.sim.native.blockers).
 NATIVE_POLICIES = frozenset({"base", "nextline", "pif", "affinity"})
 
@@ -440,9 +434,9 @@ def _assert_native_matches_reference(trace, config: SimConfig) -> None:
 
 class TestKernelEquivalenceMatrix:
     """Every registered policy × three workloads: the kernels are
-    byte-identical (the specialized leg runs every policy — all ten are
-    eligible; the native leg runs the policies it covers and also pins
-    the post-run machine state)."""
+    byte-identical (inline == fallback for every policy; the native leg
+    runs the policies it covers against the reference and also pins the
+    post-run machine state)."""
 
     @pytest.mark.parametrize("workload", KERNEL_MATRIX_WORKLOADS)
     @pytest.mark.parametrize("variant", sorted(policy_names()))
@@ -451,8 +445,6 @@ class TestKernelEquivalenceMatrix:
         inline = _run_kernel(trace, variant, "inline")
         fallback = _run_kernel(trace, variant, "fallback")
         assert inline == fallback
-        if _SPECIALIZED_OK:
-            assert _run_kernel(trace, variant, "specialized") == inline
         if _NATIVE_OK and variant in NATIVE_POLICIES:
             _assert_native_matches_reference(trace, SimConfig(variant=variant))
 
@@ -465,14 +457,20 @@ class TestKernelEquivalenceMatrix:
         assert eligible == NATIVE_POLICIES
 
 
+def _non_lru_system() -> SystemParams:
+    system = SystemParams()
+    return dataclasses.replace(
+        system, l1d=dataclasses.replace(system.l1d, policy="srrip")
+    )
+
+
 class TestKernelSelection:
     def test_auto_resolves_to_inline(self, matrix_trace, monkeypatch):
-        # auto never picks the specialized kernel (a modest win, see
-        # BENCH_10.json) and, since the native kernel, resolves to inline
-        # only where native cannot run: on ineligible policies like
-        # slicc, or without a C compiler. REPRO_KERNEL re-routes auto
-        # fleet-wide (the CI inline leg), so pin the default resolution
-        # with the override cleared.
+        # auto resolves to inline only where the native kernel cannot
+        # run: on ineligible policies like slicc, or without a C
+        # compiler. REPRO_KERNEL re-routes auto fleet-wide (the CI
+        # inline leg), so pin the default resolution with the override
+        # cleared.
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
         engine = ReplayEngine(matrix_trace, SimConfig(variant="slicc"))
         assert engine.kernel == "inline"
@@ -499,6 +497,8 @@ class TestKernelSelection:
             SimConfig(kernel="vectorised")
         with pytest.raises(ConfigurationError):
             SimConfig(kernel="batch")
+        with pytest.raises(ConfigurationError):
+            SimConfig(kernel="specialized")
 
     def test_ineligible_policy_raises_on_forced_native(self, matrix_trace):
         with pytest.raises(ConfigurationError, match="ineligible"):
@@ -512,8 +512,9 @@ class TestKernelSelection:
             {"collect_miss_classes": True},
             {"model_l2_capacity": True},
             {"variant": "slicc", "data_prefetch_n": 4},
+            {"system": _non_lru_system()},
         ],
-        ids=["classifiers", "nuca", "data-prefetch"],
+        ids=["classifiers", "nuca", "data-prefetch", "non-lru-l1"],
     )
     def test_structural_blockers_raise_on_forced_native(
         self, matrix_trace, kwargs
@@ -534,6 +535,21 @@ class TestKernelSelection:
                 matrix_trace, SimConfig(variant="base", kernel="native")
             )
             assert engine.kernel == "native"
+
+    def test_repro_kernel_env_silent_fallback(self, matrix_trace, monkeypatch):
+        # A fleet override must not break ineligible configs: auto falls
+        # back to inline silently instead of raising.
+        monkeypatch.setenv("REPRO_KERNEL", "native")
+        for config in (
+            SimConfig(variant="slicc"),
+            SimConfig(variant="base", system=_non_lru_system()),
+        ):
+            assert ReplayEngine(matrix_trace, config).kernel == "inline"
+
+    def test_repro_kernel_env_unknown_raises(self, matrix_trace, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL", "vectorised")
+        with pytest.raises(ConfigurationError, match="REPRO_KERNEL"):
+            ReplayEngine(matrix_trace, SimConfig(variant="base"))
 
     def test_policy_flags_block_native(self, matrix_trace, monkeypatch):
         cls = get_policy("base")
@@ -757,139 +773,3 @@ class TestNativeFallback:
             check=True,
         )
         assert not list(tmp_path.iterdir())
-
-
-# ----------------------------------------------------------------------
-# PR 10: the per-config specialized (generated) kernel
-# ----------------------------------------------------------------------
-
-
-def _non_lru_system() -> SystemParams:
-    system = SystemParams()
-    return dataclasses.replace(
-        system, l1d=dataclasses.replace(system.l1d, policy="srrip")
-    )
-
-
-class TestSpecializedSelection:
-    @needs_specialized
-    def test_explicit_specialized_honoured(self, matrix_trace):
-        engine = ReplayEngine(
-            matrix_trace, SimConfig(variant="slicc", kernel="specialized")
-        )
-        assert engine.kernel == "specialized"
-        assert engine._specialized is not None
-
-    def test_no_specialize_env_vetoes_forced(self, matrix_trace, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_SPECIALIZE", "1")
-        with pytest.raises(ConfigurationError, match="REPRO_NO_SPECIALIZE"):
-            ReplayEngine(
-                matrix_trace,
-                SimConfig(variant="base", kernel="specialized"),
-            )
-        # auto is unaffected (and a fleet-wide REPRO_KERNEL=specialized
-        # override is silently neutralised by the veto).
-        monkeypatch.setenv("REPRO_KERNEL", "specialized")
-        engine = ReplayEngine(matrix_trace, SimConfig(variant="base"))
-        assert engine.kernel == "inline"
-
-    def test_specialize_safe_flag_blocks(self, matrix_trace, monkeypatch):
-        # The veto raises before blockers are consulted; neutralise it
-        # so this test pins the blocker message under every CI leg.
-        monkeypatch.delenv("REPRO_NO_SPECIALIZE", raising=False)
-        cls = get_policy("base")
-        monkeypatch.setattr(cls, "specialize_safe", False)
-        engine = ReplayEngine(matrix_trace, SimConfig(variant="base"))
-        assert "specialize_safe" in " ".join(engine._specialize_blockers())
-        with pytest.raises(ConfigurationError, match="specialize_safe"):
-            ReplayEngine(
-                matrix_trace,
-                SimConfig(variant="base", kernel="specialized"),
-            )
-
-    def test_non_lru_l1_blocks(self, matrix_trace, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_SPECIALIZE", raising=False)
-        with pytest.raises(ConfigurationError, match="non-LRU L1-D"):
-            ReplayEngine(
-                matrix_trace,
-                SimConfig(
-                    variant="base",
-                    system=_non_lru_system(),
-                    kernel="specialized",
-                ),
-            )
-
-    @needs_specialized
-    def test_repro_kernel_env_resolves_auto(self, matrix_trace, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "specialized")
-        engine = ReplayEngine(matrix_trace, SimConfig(variant="slicc"))
-        assert engine.kernel == "specialized"
-        # Explicit kernels keep their request under the override.
-        engine = ReplayEngine(
-            matrix_trace, SimConfig(variant="slicc", kernel="inline")
-        )
-        assert engine.kernel == "inline"
-
-    def test_repro_kernel_env_silent_fallback(self, matrix_trace, monkeypatch):
-        # A fleet override must not break ineligible configs: auto falls
-        # back to inline silently instead of raising.
-        monkeypatch.setenv("REPRO_KERNEL", "specialized")
-        engine = ReplayEngine(
-            matrix_trace,
-            SimConfig(variant="base", system=_non_lru_system()),
-        )
-        assert engine.kernel == "inline"
-
-    def test_repro_kernel_env_unknown_raises(self, matrix_trace, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "vectorised")
-        with pytest.raises(ConfigurationError, match="REPRO_KERNEL"):
-            ReplayEngine(matrix_trace, SimConfig(variant="base"))
-
-    def test_specialized_excluded_from_spec_keys(self):
-        from repro.exp.spec import ExperimentSpec
-
-        base = ExperimentSpec("tpcc-1", config=SimConfig(variant="slicc"))
-        forced = ExperimentSpec(
-            "tpcc-1",
-            config=SimConfig(variant="slicc", kernel="specialized"),
-        )
-        assert base.key() == forced.key()
-
-
-class TestSpecializedGeneration:
-    def _spec(self, matrix_trace, **kwargs) -> "specialize.KernelSpec":
-        engine = ReplayEngine(matrix_trace, SimConfig(**kwargs))
-        return specialize.spec_from_engine(engine)
-
-    def test_generated_source_deterministic(self, matrix_trace):
-        for kwargs in (
-            {"variant": "slicc"},
-            {"variant": "steps", "collect_miss_classes": True},
-            {"variant": "nextline", "model_l2_capacity": True},
-        ):
-            spec = self._spec(matrix_trace, **kwargs)
-            first = specialize.generate_source(spec)
-            assert first == specialize.generate_source(spec)
-            # A reconstructed engine yields the same spec, so the memo
-            # key is stable across engine instances.
-            assert spec == self._spec(matrix_trace, **kwargs)
-            compile(first, "<test>", "exec")
-
-    def test_spec_canonicalises_inapplicable_knobs(self, matrix_trace):
-        # Policies without SLICC machinery must not fragment the kernel
-        # cache on SLICC thresholds: the spec zeroes them out.
-        spec = self._spec(matrix_trace, variant="base")
-        assert not spec.has_slicc and spec.mc_limit == 0
-        assert spec.msv_window == 0 and spec.mtq_matched == 0
-
-    def test_kernel_memoised_per_spec(self, matrix_trace):
-        spec = self._spec(matrix_trace, variant="slicc")
-        assert specialize.kernel_for(spec) is specialize.kernel_for(spec)
-
-    def test_dump_env_writes_source(self, matrix_trace, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SPECIALIZE_DUMP", str(tmp_path))
-        spec = self._spec(matrix_trace, variant="slicc")
-        specialize.kernel_for(spec)
-        dumped = tmp_path / f"{specialize.signature(spec)}.py"
-        assert dumped.exists()
-        assert dumped.read_text() == specialize.generate_source(spec)

@@ -66,7 +66,8 @@ class TestOltpCharacterisation:
 class TestMigrationMechanics:
     def test_migration_spacing_reasonable(self):
         """The paper reports ~3.2K instructions per migration; ours is
-        denser (EXPERIMENTS.md) but must stay within an order."""
+        denser (a tracked deviation, ROADMAP item 1) but must stay
+        within an order."""
         trace = standard_trace("tpcc-1", ScalePreset.CI, n_threads=16)
         r = simulate(trace, variant="slicc")
         assert r.migrations > 0
